@@ -105,7 +105,7 @@ fi::util::Result<Workload> make_workload(const std::string& name,
         << "phase.2.adds_per_cycle = " << n(100000) << "\n"
         << "phase.2.discard_fraction = 0.05\n"
            "phase.3.kind = idle\n"
-           "phase.3.cycles = 2\n"
+           "phase.3.cycles = 4\n"
            "phase.4.kind = corrupt_burst\n"
            "phase.4.corrupt_fraction = 0.01\n"
            "phase.4.cycles = 3\n"
