@@ -7,8 +7,10 @@
 // Untraced (--trace 0): runs whole Session rounds of the workload (open,
 // every epoch, a mid-run state hash + checkpoint + resume, report), checks
 // every round's outputs, and prints the end-to-end metrics. The first
-// round opens cold and gives setup_s; later rounds run while another fits
-// in --seconds, and the other times are medians over rounds.
+// round opens cold and gives setup_s; further whole rounds start until
+// --seconds have passed since the process started. run_s and total_s are
+// medians over rounds; the per-call times (epoch, state hash, checkpoint,
+// resume) are medians over the samples of every round.
 // Traced (--trace 1): one Session round that also reads per-epoch engine
 // counts, then a replay that times each layer's public calls directly.
 // The last line of standard output is one JSON object:
@@ -107,16 +109,25 @@ struct Ops {
 struct RoundTimes {
   double setup_s = 0.0;
   double run_s = 0.0;
-  double epoch_p50_s = 0.0;
   double state_hash_s = 0.0;
   double checkpoint_s = 0.0;
   double resume_s = 0.0;
   double total_s = 0.0;
 };
 
+/// Every timed sample of one round, so that a run's medians can pool the
+/// samples of all its rounds.
+struct RoundSamples {
+  std::vector<double> epoch;
+  std::vector<double> state_hash;
+  std::vector<double> checkpoint;
+  std::vector<double> resume;
+};
+
 struct Round {
   bool completed = false;
   RoundTimes times;
+  RoundSamples samples;
   std::optional<fi::scenario::MetricsReport> report;
   perfbench::Facts facts;
   std::uint64_t snapshot_bytes = 0;
@@ -146,10 +157,10 @@ Round run_round(const Workload& w, const std::string& snap_path,
   }
   round.times.setup_s = seconds_since(t0);
 
-  std::vector<double> epoch_times;
-  std::vector<double> hash_times;
-  std::vector<double> checkpoint_times;
-  std::vector<double> resume_times;
+  std::vector<double>& epoch_times = round.samples.epoch;
+  std::vector<double>& hash_times = round.samples.state_hash;
+  std::vector<double>& checkpoint_times = round.samples.checkpoint;
+  std::vector<double>& resume_times = round.samples.resume;
   std::uint64_t burst_population = 0;
   std::string hash_at_checkpoint;
   std::string hash_resumed;
@@ -161,12 +172,18 @@ Round run_round(const Workload& w, const std::string& snap_path,
     if (next_checkpoint < w.checkpoint_epochs.size() &&
         s->epoch() == w.checkpoint_epochs[next_checkpoint]) {
       ++next_checkpoint;
-      auto t = Clock::now();
-      const std::string before = s->state_hash();
-      hash_times.push_back(seconds_since(t));
-      ops.record(before.size() == 64, "state_hash", before);
+      std::string before;
+      for (std::uint64_t i = 0; i < w.hash_samples; ++i) {
+        const auto t = Clock::now();
+        const std::string hash = s->state_hash();
+        hash_times.push_back(seconds_since(t));
+        // A repeated hash of the same state must not change.
+        ops.record(hash.size() == 64 && (i == 0 || hash == before),
+                   "state_hash", hash + (i == 0 ? "" : " vs " + before));
+        if (i == 0) before = hash;
+      }
 
-      t = Clock::now();
+      auto t = Clock::now();
       const fi::util::Status saved = s->checkpoint(snap_path);
       checkpoint_times.push_back(seconds_since(t));
       if (!ops.record(saved.is_ok(), "checkpoint", saved.to_string())) {
@@ -211,7 +228,6 @@ Round run_round(const Workload& w, const std::string& snap_path,
           round.pending_tasks_max, s->network().pending_tasks());
     }
   }
-  round.times.epoch_p50_s = median(epoch_times);
   round.times.state_hash_s = median(hash_times);
   round.times.checkpoint_s = median(checkpoint_times);
   round.times.resume_s = median(resume_times);
@@ -266,13 +282,16 @@ int run_untraced(const Workload& w, const std::string& snap_path,
   Ops ops;
   std::vector<Round> rounds;
   Clock::time_point t0 = process_start;
+  double peak_rss = 0.0;
   while (true) {
-    const auto round_start = Clock::now();
     rounds.push_back(run_round(w, snap_path, t0, {}, ops));
+    // The high-water mark of one Session lifecycle: later rounds reopen in
+    // a heap the earlier ones left fragmented.
+    if (rounds.size() == 1) peak_rss = peak_rss_mib();
     if (!rounds.back().completed) break;
-    // Another whole round only if it fits in the measuring time.
-    const double last = seconds_since(round_start);
-    if (seconds_since(process_start) + last > seconds) break;
+    // Whole rounds until the measuring time is spent: a workload whose
+    // round is shorter than --seconds always runs at least two.
+    if (seconds_since(process_start) >= seconds) break;
     t0 = Clock::now();
   }
   const bool completed = rounds.back().completed;
@@ -283,17 +302,29 @@ int run_untraced(const Workload& w, const std::string& snap_path,
     }
     return median(v);
   };
+  // Per-call times: the median over the samples of every round.
+  const auto pooled = [&rounds](std::vector<double> RoundSamples::*field) {
+    std::vector<double> v;
+    for (const Round& r : rounds) {
+      if (r.completed) {
+        const std::vector<double>& part = r.samples.*field;
+        v.insert(v.end(), part.begin(), part.end());
+      }
+    }
+    return median(v);
+  };
   std::cout << "rounds: " << rounds.size() << " (setup_s from the first, "
-            << "cold round; other times are medians over rounds)\n";
+            << "cold round; run_s and total_s are medians over rounds, the "
+            << "other times medians over the samples of every round)\n";
   const std::vector<Metric> metrics = {
       {"setup_s", rounds.front().times.setup_s, "s"},
       {"run_s", over_rounds(&RoundTimes::run_s), "s"},
-      {"epoch_p50_s", over_rounds(&RoundTimes::epoch_p50_s), "s"},
-      {"state_hash_s", over_rounds(&RoundTimes::state_hash_s), "s"},
-      {"checkpoint_s", over_rounds(&RoundTimes::checkpoint_s), "s"},
-      {"resume_s", over_rounds(&RoundTimes::resume_s), "s"},
+      {"epoch_p50_s", pooled(&RoundSamples::epoch), "s"},
+      {"state_hash_s", pooled(&RoundSamples::state_hash), "s"},
+      {"checkpoint_s", pooled(&RoundSamples::checkpoint), "s"},
+      {"resume_s", pooled(&RoundSamples::resume), "s"},
       {"total_s", over_rounds(&RoundTimes::total_s), "s"},
-      {"peak_rss_mb", peak_rss_mib(), "MiB"},
+      {"peak_rss_mb", peak_rss, "MiB"},
   };
   const bool correct = completed && ops.failed == 0;
   print_result(correct, ops, metrics);

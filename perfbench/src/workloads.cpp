@@ -77,7 +77,10 @@ fi::util::Result<Workload> make_workload(const std::string& name,
            "phase.1.cycles = 3\n"
            "phase.2.kind = rent_audit\n"
            "phase.2.periods = 0\n";
-    w.checkpoint_epochs = {6};
+    // Two checkpoints in the idle phase, where the state has one size:
+    // each snapshot call takes seconds, so one sample per run would mostly
+    // time the host.
+    w.checkpoint_epochs = {4, 7};
   } else if (name == "churn_net") {
     // 2x10^5 files, then four churn cycles of 10^5 adds and 5% discards;
     // every transfer is a NetModel message over four regions (latency,
@@ -111,7 +114,10 @@ fi::util::Result<Workload> make_workload(const std::string& name,
            "phase.4.cycles = 3\n"
            "phase.5.kind = rent_audit\n"
            "phase.5.periods = 0\n";
-    w.checkpoint_epochs = {3, 5, 7};
+    // All three in the idle phase, after the last adds: the state has one
+    // size, so the snapshot samples are alike and their median sits inside
+    // one cluster rather than between a small and a large state.
+    w.checkpoint_epochs = {5, 6, 7};
   } else if (name == "retrieval_attack") {
     // 10^5 files under 2x10^5 honest Zipf requests per cycle in four
     // streams, with the Poisson-envelope defense armed after four cycles.
@@ -147,7 +153,10 @@ fi::util::Result<Workload> make_workload(const std::string& name,
            "phase.0.cycles = 12\n"
            "phase.1.kind = rent_audit\n"
            "phase.1.periods = 0\n";
-    w.checkpoint_epochs = {2, 4, 6, 8, 10};
+    // One checkpoint before the gang starts and one after: few enough that
+    // the round is short and several rounds fit in a run.
+    w.checkpoint_epochs = {4, 8};
+    w.hash_samples = 3;
   } else {
     return fi::util::err(fi::util::ErrorCode::invalid_argument,
                          "unknown workload '" + name + "'");

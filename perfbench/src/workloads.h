@@ -22,6 +22,9 @@ struct Workload {
   /// snapshots are taken at several epochs so that their samples spread
   /// over the run.
   std::vector<std::uint64_t> checkpoint_epochs;
+  /// `Session::state_hash()` calls before each checkpoint: more than one
+  /// where a hash takes well under a second, so the median has samples.
+  std::uint64_t hash_samples = 1;
   /// Epoch at which the corruption burst phase begins (the Theorem 3
   /// population is read here); `kNoBurst` when the workload has none.
   std::uint64_t burst_epoch = kNoBurst;
